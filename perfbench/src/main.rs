@@ -7,6 +7,10 @@
 //!           --trace 0|1 [--ndpsim PATH] [--work DIR]
 //! ```
 //!
+//! The end-to-end run of `paper_grid` and `mlp_corun` starts this binary
+//! again with `--child engine|setup --out PATH` for each pass it times
+//! (see `grid::child`).
+//!
 //! Prints a table of every metric with its unit and sample count, then,
 //! as the last line, one JSON object: `correct`, `attempted`, `failed`
 //! and `metrics` (the end-to-end metrics with `--trace 0`, the per-layer
@@ -46,6 +50,10 @@ pub struct Args {
     pub ndpsim: Option<PathBuf>,
     /// Scratch directory for rows, server state and spans.
     pub work: PathBuf,
+    /// Set in a child process of the end-to-end run: `engine` or `setup`.
+    pub child: Option<String>,
+    /// The rows file of an `engine` child.
+    pub out: PathBuf,
 }
 
 impl Args {
@@ -57,6 +65,8 @@ impl Args {
             trace: false,
             ndpsim: None,
             work: PathBuf::from(".perfbench_work"),
+            child: None,
+            out: PathBuf::new(),
         };
         let (mut seed, mut seconds, mut trace) = (false, false, false);
         while let Some(flag) = it.next() {
@@ -86,6 +96,11 @@ impl Args {
                 }
                 "--ndpsim" => args.ndpsim = Some(PathBuf::from(value)),
                 "--work" => args.work = PathBuf::from(value),
+                "--child" if matches!(value.as_str(), "engine" | "setup") => {
+                    args.child = Some(value);
+                }
+                "--child" => return Err(format!("bad --child {value:?} (engine or setup)")),
+                "--out" => args.out = PathBuf::from(value),
                 _ => return Err(format!("unknown flag {flag:?}")),
             }
         }
@@ -101,12 +116,21 @@ fn main() {
         eprintln!("perfbench: {e}\n{USAGE}");
         std::process::exit(2);
     });
+    if let Some(mode) = &args.child {
+        match grid::child(mode, &grid::spec_of(&args.workload, args.seed), &args.out) {
+            Ok(line) => println!("{line}"),
+            Err(e) => {
+                eprintln!("perfbench: {} {mode} child: {e}", args.workload);
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
     let tr = Tracer::new(args.trace);
     let mut out = Outcome::default();
     let ran = match args.workload.as_str() {
-        "paper_grid" => grid::run(&grid::paper_grid_spec(args.seed), &args, &tr, &mut out),
-        "mlp_corun" => grid::run(&grid::mlp_corun_spec(args.seed), &args, &tr, &mut out),
-        _ => service::run(&args, &tr, &mut out),
+        "service" => service::run(&args, &tr, &mut out),
+        w => grid::run(&grid::spec_of(w, args.seed), &args, &tr, &mut out),
     };
     if let Err(e) = ran {
         eprintln!("perfbench: {}: {e}", args.workload);
@@ -130,8 +154,8 @@ fn main() {
     for note in &out.notes {
         println!("# {note}");
     }
-    print!("{}", out.table(args.trace));
-    match out.result_json(args.trace) {
+    print!("{}", out.table(&args.workload, args.trace));
+    match out.result_json(&args.workload, args.trace) {
         Ok(line) => println!("{line}"),
         Err(missing) => {
             eprintln!(
@@ -160,45 +184,51 @@ mod tests {
         assert!(parse("--workload service --seed 1 --seconds 0 --trace 0").is_err());
         assert!(parse("--workload service --seed 1 --seconds 1 --trace 2").is_err());
         assert!(parse("--workload service --seed 1 --seconds 1").is_err());
+        let c = parse("--workload mlp_corun --seed 1 --seconds 1 --trace 0 --child setup --out r")
+            .expect("valid child");
+        assert_eq!(c.child.as_deref(), Some("setup"));
+        assert!(parse("--workload mlp_corun --seed 1 --seconds 1 --trace 0 --child x").is_err());
     }
 
-    /// A small grid through the benchmark's own pass: the same seed gives
-    /// the same `model.digest`, another seed a different one, and tracing
-    /// does not change it.
+    /// A small grid through the traced run: the same seed gives the same
+    /// `model.digest`, another seed a different one. The run itself checks
+    /// that its traced and untraced passes reproduce the rows and digest
+    /// of an untraced engine pass, so tracing does not change them.
     #[test]
     fn digest_repeats_per_seed_and_differs_across_seeds() {
-        let digest = |seed: u64, trace: bool| {
+        let digest = |seed: u64, run: u32| {
             let spec = ndp_sim::SweepSpec::new(
                 ndp_sim::SimConfig::cli_default()
                     .with_ops(500, 1000)
                     .with_footprint(64 << 20)
                     .with_seed(grid::sim_seed(seed)),
             )
-            .named(&format!("digest-test-{seed}-{trace}"))
+            .named(&format!("digest-test-{seed}-{run}"))
             .axis("system", &["ndp"])
             .axis("cores", &[1])
             .axis("workload", &["RND"])
             .axis("mechanism", &["radix", "ndpage"]);
             let work = std::env::temp_dir().join(format!(
-                "perfbench-test-{}-{seed}-{trace}",
+                "perfbench-test-{}-{seed}-{run}",
                 std::process::id()
             ));
             let args = Args {
                 workload: "mlp_corun".into(),
                 seed,
                 seconds: 0.01,
-                trace,
+                trace: true,
                 ndpsim: None,
                 work: work.clone(),
+                child: None,
+                out: PathBuf::new(),
             };
             let mut out = Outcome::default();
-            grid::run(&spec, &args, &Tracer::new(trace), &mut out).expect("small grid runs");
+            grid::run(&spec, &args, &Tracer::new(true), &mut out).expect("small grid runs");
             assert_eq!(out.failed, 0, "{:?}", out.notes);
             let _ = std::fs::remove_dir_all(&work);
             out.metrics["model.digest"].value
         };
-        assert_eq!(digest(1, false), digest(1, false));
-        assert_eq!(digest(1, false), digest(1, true));
-        assert_ne!(digest(1, false), digest(2, false));
+        assert_eq!(digest(1, 0), digest(1, 1));
+        assert_ne!(digest(1, 0), digest(2, 0));
     }
 }

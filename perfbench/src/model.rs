@@ -20,10 +20,16 @@ pub fn mech_key(m: Mechanism) -> &'static str {
 }
 
 /// XOR fold of the reports' fingerprints (the sweep engine's digest),
-/// reduced to 53 bits so it survives a round trip through a JSON double.
+/// reduced by [`fold53`].
 #[must_use]
 pub fn digest<'a>(reports: impl IntoIterator<Item = &'a RunReport>) -> u64 {
-    let d = reports.into_iter().fold(0u64, |d, r| d ^ r.fingerprint());
+    fold53(reports.into_iter().fold(0u64, |d, r| d ^ r.fingerprint()))
+}
+
+/// A 64-bit digest reduced to 53 bits, so it survives a round trip
+/// through a JSON double.
+#[must_use]
+pub fn fold53(d: u64) -> u64 {
     (d ^ (d >> 53)) & ((1 << 53) - 1)
 }
 

@@ -42,8 +42,55 @@ pub const SPANS: &[&str] = &[
     "serve.rewatch",
 ];
 
-/// Per-layer metrics (`--trace 1`), with units. A workload that does not
-/// exercise a layer reports its metrics as 0.
+/// Per-layer metric prefixes only `service` measures: it starts the
+/// server and its supervisor, and strictly ingests the served rows.
+const SERVICE_ONLY: &[&str] = &[
+    "serve.",
+    "supervisor.",
+    "self_s.serve.",
+    "self_s.supervisor.",
+    "self_s.spec.ingest",
+];
+
+/// Per-layer metric prefixes only the in-process workloads measure:
+/// `service` builds no `Machine` in its own process, generates no trace
+/// there and runs no `--resume` pass.
+const IN_PROCESS_ONLY: &[&str] = &[
+    "machine.",
+    "parallel.",
+    "workloads.",
+    "self_s.parallel.",
+    "self_s.machine.",
+    "self_s.workloads.",
+    "self_s.spec.resume",
+];
+
+/// Whether a traced run of `workload` must measure the per-layer metric
+/// `name`. Every other per-layer metric applies to every workload.
+#[must_use]
+pub fn applies(workload: &str, name: &str) -> bool {
+    let other = if workload == "service" {
+        IN_PROCESS_ONLY
+    } else {
+        SERVICE_ONLY
+    };
+    !other.iter().any(|p| name.starts_with(p))
+}
+
+/// The metrics one run reports: end-to-end or per-layer.
+fn catalogue(trace: bool) -> Vec<(String, &'static str)> {
+    if trace {
+        per_layer()
+    } else {
+        END_TO_END
+            .iter()
+            .map(|&(n, u)| (n.to_string(), u))
+            .collect()
+    }
+}
+
+/// Per-layer metrics (`--trace 1`), with units. A workload reports the
+/// ones that do not apply to it (see [`applies`]) as 0.
 #[must_use]
 pub fn per_layer() -> Vec<(String, &'static str)> {
     let mut v: Vec<(String, &'static str)> = Vec::new();
@@ -58,11 +105,9 @@ pub fn per_layer() -> Vec<(String, &'static str)> {
     add("machine.run_ns_per_op.overlap".into(), "ns");
     add("parallel.busy_frac".into(), "ratio");
     add("parallel.longest_row_s".into(), "s");
-    add("parallel.first_row_ms".into(), "ms");
     add("spec.expand_s".into(), "s");
     add("spec.sink_s".into(), "s");
     add("spec.ingest_s".into(), "s");
-    add("spec.reread_ms".into(), "ms");
     add("workloads.trace_ns_per_op".into(), "ns");
     add("mmu.tlb_lookup_ns".into(), "ns");
     add("mmu.pwc_probe_ns".into(), "ns");
@@ -166,24 +211,18 @@ impl Outcome {
     }
 
     /// The result object for the metrics of one catalogue, or the names
-    /// of catalogue metrics this run did not measure (end-to-end metrics
-    /// must all be present; per-layer ones default to 0).
+    /// of catalogue metrics this run should have measured and did not.
+    /// Every end-to-end metric must be present, and every per-layer one
+    /// that [`applies`] to `workload`; the others are reported as 0.
     ///
     /// # Errors
     ///
-    /// Missing end-to-end metrics, by name.
-    pub fn result_json(&self, trace: bool) -> Result<String, Vec<String>> {
-        let catalogue: Vec<(String, &str)> = if trace {
-            per_layer()
-        } else {
-            END_TO_END
-                .iter()
-                .map(|&(n, u)| (n.to_string(), u))
-                .collect()
-        };
+    /// Missing metrics, by name.
+    pub fn result_json(&self, workload: &str, trace: bool) -> Result<String, Vec<String>> {
+        let catalogue = catalogue(trace);
         let missing: Vec<String> = catalogue
             .iter()
-            .filter(|(n, _)| !trace && !self.metrics.contains_key(n))
+            .filter(|(n, _)| (!trace || applies(workload, n)) && !self.metrics.contains_key(n))
             .map(|(n, _)| n.clone())
             .collect();
         if !missing.is_empty() {
@@ -209,23 +248,23 @@ impl Outcome {
     /// The human-readable table: every catalogue metric with its value,
     /// unit and sample count.
     #[must_use]
-    pub fn table(&self, trace: bool) -> String {
-        let catalogue: Vec<(String, &str)> = if trace {
-            per_layer()
-        } else {
-            END_TO_END
-                .iter()
-                .map(|&(n, u)| (n.to_string(), u))
-                .collect()
-        };
+    pub fn table(&self, workload: &str, trace: bool) -> String {
         let mut out = String::new();
-        for (name, unit) in catalogue {
+        for (name, unit) in catalogue(trace) {
             match self.metrics.get(&name) {
                 Some(v) => out.push_str(&format!(
                     "{name:<40} {:>16.6} {unit:<7} n={}\n",
                     v.value, v.samples
                 )),
-                None => out.push_str(&format!("{name:<40} {:>16} {unit:<7} not exercised\n", 0)),
+                None => out.push_str(&format!(
+                    "{name:<40} {:>16} {unit:<7} {}\n",
+                    0,
+                    if !trace || applies(workload, &name) {
+                        "MISSING"
+                    } else {
+                        "not exercised"
+                    }
+                )),
             }
         }
         out
@@ -304,12 +343,12 @@ mod tests {
     #[test]
     fn result_line_has_every_catalogue_metric() {
         let mut o = Outcome::default();
-        assert!(o.result_json(false).is_err());
+        assert!(o.result_json("paper_grid", false).is_err());
         for (n, _) in END_TO_END {
             o.set(*n, 1.5, 3);
         }
         o.check(4, true, String::new);
-        let line = o.result_json(false).expect("complete");
+        let line = o.result_json("paper_grid", false).expect("complete");
         let doc = ndp_sim::spec::parse_json(&line).expect("valid JSON");
         assert_eq!(
             doc.get("correct")
@@ -323,7 +362,34 @@ mod tests {
                 .as_deref(),
             Some("4")
         );
-        let traced = o.result_json(true).expect("per-layer defaults to 0");
-        assert!(traced.contains("\"model.digest\": {\"value\": 0, \"unit\": \"count\"}"));
+    }
+
+    /// A traced run fails when it misses a per-layer metric that applies
+    /// to its workload, and reports the ones that do not apply as 0.
+    #[test]
+    fn traced_result_needs_every_applicable_per_layer_metric() {
+        let mut o = Outcome::default();
+        for (n, _) in per_layer() {
+            if applies("service", &n) {
+                o.set(n, 2.5, 1);
+            }
+        }
+        o.check(1, true, String::new);
+        let line = o.result_json("service", true).expect("service complete");
+        assert!(line.contains("\"machine.new_s.ech\": {\"value\": 0, \"unit\": \"s\"}"));
+        assert!(line.contains("\"serve.rewatch_ms\": {\"value\": 2.5, \"unit\": \"ms\"}"));
+        let missing = o
+            .result_json("mlp_corun", true)
+            .expect_err("no machine metrics");
+        assert!(missing.contains(&"machine.run_ns_per_op.overlap".to_string()));
+        assert!(!missing.iter().any(|n| n.starts_with("serve.")));
+        o.metrics.remove("self_s.serve.rewatch");
+        assert_eq!(
+            o.result_json("service", true),
+            Err(vec!["self_s.serve.rewatch".to_string()])
+        );
+        assert!(applies("paper_grid", "self_s.spec.resume"));
+        assert!(!applies("service", "self_s.spec.resume"));
+        assert!(!applies("paper_grid", "supervisor.spawns"));
     }
 }

@@ -21,7 +21,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Server starts timed for `setup_s` (the last one serves the loop).
-const STARTS: usize = 9;
+const STARTS: usize = 25;
 
 /// Fewest measured jobs, whatever `--seconds` says (40 jobs put the
 /// tail at p75 or higher).
