@@ -11,8 +11,7 @@
 //! tolerance band. Everything needed to re-check a finished run is in
 //! the JSONL file; no simulation state survives into this module.
 
-use crate::cli::{json_f64, json_str, json_u64};
-use ndp_sim::spec::{mechanism_names, SweepSpec};
+use ndp_sim::spec::{mechanism_names, parse_json, Json, SweepSpec};
 use ndp_sim::SimConfig;
 
 /// The `(system, cores)` pairs the paper's figures evaluate: NDP
@@ -22,8 +21,8 @@ pub const SYSTEM_CORES: [(&str, &str); 4] =
 
 /// The calibration grid over `base`: workload (slowest-varying) x
 /// paired `(system, cores)` x mechanism (fastest). Shared by the
-/// `calibrate` binary and the `ndpsim bench` calibration pass so the
-/// two can never sweep different grids.
+/// `calibrate` binary, the pinned-digest test and the benchmark harness
+/// so they can never sweep different grids.
 #[must_use]
 pub fn grid(base: SimConfig, workloads: &[&str]) -> SweepSpec {
     SweepSpec::new(base)
@@ -371,10 +370,29 @@ impl CalRow {
 /// Names the missing field (older-format rows without the calibration
 /// counters are rejected with a hint to re-run the sweep).
 pub fn parse_row(line: &str) -> Result<CalRow, String> {
-    let s =
-        |key: &str| json_str(line, key).ok_or_else(|| format!("row is missing coordinate {key:?}"));
+    row_from_json(&parse_json(line)?)
+}
+
+/// A top-level numeric field of a parsed row, parsed from its source
+/// text (so 64-bit counters never round-trip through a float).
+fn number<T: std::str::FromStr>(row: &Json, key: &str) -> Option<T> {
+    match row.get(key)? {
+        Json::Num(text) => text.parse().ok(),
+        _ => None,
+    }
+}
+
+/// [`parse_row`] on an already-parsed line: coordinates come from the
+/// row's `knobs` object, counters from its top level.
+fn row_from_json(v: &Json) -> Result<CalRow, String> {
+    let s = |key: &str| {
+        v.get("knobs")
+            .and_then(|k| k.get(key))
+            .and_then(Json::scalar)
+            .ok_or_else(|| format!("row is missing coordinate {key:?}"))
+    };
     let n = |key: &str| {
-        json_u64(line, key).ok_or_else(|| {
+        number(v, key).ok_or_else(|| {
             format!(
                 "row is missing counter {key:?} (pre-calibration JSONL format? \
                  re-run the sweep to regenerate it)"
@@ -393,7 +411,7 @@ pub fn parse_row(line: &str) -> Result<CalRow, String> {
         translation_cycles: n("translation_cycles")?,
         walks: n("walks")?,
         ptw_cycles: n("ptw_cycles")?,
-        avg_core_cycles: json_f64(line, "avg_core_cycles")
+        avg_core_cycles: number(v, "avg_core_cycles")
             .ok_or_else(|| "row is missing counter \"avg_core_cycles\"".to_string())?,
         tlb_l1_hits: n("tlb_l1_hits")?,
         tlb_l1_misses: n("tlb_l1_misses")?,
@@ -657,10 +675,8 @@ pub fn group_rows(rows: &[CalRow]) -> Vec<Vec<String>> {
 ///
 /// Empty input or a malformed line (named by 1-based number).
 pub fn jsonl_tables(text: &str) -> Result<String, String> {
-    use ndp_sim::spec::{parse_json, Json};
-
-    /// One parsed stream line: grid index, knob coordinates, raw text.
-    type ParsedRow = (u64, Vec<(String, String)>, String);
+    /// One parsed stream line: grid index, knob coordinates, the row.
+    type ParsedRow = (u64, Vec<(String, String)>, Json);
     let mut knob_names: Vec<String> = Vec::new();
     let mut parsed: Vec<ParsedRow> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -668,10 +684,7 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
             continue;
         }
         let v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let index = v
-            .get("i")
-            .and_then(Json::scalar)
-            .and_then(|s| s.parse().ok())
+        let index = number(&v, "i")
             .ok_or_else(|| format!("line {}: row has no grid index \"i\"", lineno + 1))?;
         let mut knobs = Vec::new();
         if let Some(Json::Obj(pairs)) = v.get("knobs") {
@@ -683,7 +696,7 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
                 knobs.push((k.clone(), val));
             }
         }
-        parsed.push((index, knobs, line.to_string()));
+        parsed.push((index, knobs, v));
     }
     if parsed.is_empty() {
         return Err("no rows (empty JSONL)".to_string());
@@ -704,8 +717,8 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
     ]);
     let rows: Vec<Vec<String>> = parsed
         .iter()
-        .map(|(index, knobs, line)| {
-            let n = |key: &str| json_u64(line, key);
+        .map(|(index, knobs, v)| {
+            let n = |key: &str| number::<u64>(v, key);
             let mut cells = vec![index.to_string()];
             for name in &knob_names {
                 cells.push(
@@ -739,8 +752,12 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
     out.push_str(&crate::table_string(&headers, &rows));
 
     // The calibration view rides along whenever the coordinates allow
-    // it — same parse, same grouping, same headers as `calibrate`.
-    if let Ok(cal) = parse_rows(text) {
+    // it — same row reader, same grouping, same headers as `calibrate`.
+    if let Ok(cal) = parsed
+        .iter()
+        .map(|(_, _, v)| row_from_json(v))
+        .collect::<Result<Vec<_>, _>>()
+    {
         out.push_str(&format!(
             "\nper-group shape metrics ({} rows):\n",
             cal.len()
@@ -748,20 +765,6 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
         out.push_str(&crate::table_string(&GROUP_HEADERS, &group_rows(&cal)));
     }
     Ok(out)
-}
-
-/// Builds the flat-JSON `calibration` fields for `BENCH_end_to_end.json`
-/// (targets hit, max relative deviation, wall time).
-#[must_use]
-pub fn bench_json_fields(findings: &[Finding], wall_s: f64) -> String {
-    let hit = findings.iter().filter(|f| f.pass).count();
-    format!(
-        "\"cal_targets\": {},\n    \"cal_hit\": {},\n    \"cal_max_rel_dev\": {:.4},\n    \"cal_wall_s\": {:.2}",
-        findings.len(),
-        hit,
-        max_rel_deviation(findings),
-        wall_s
-    )
 }
 
 #[cfg(test)]
@@ -932,14 +935,11 @@ mod tests {
     }
 
     #[test]
-    fn deviation_and_json_fields() {
+    fn max_deviation_is_finite_and_positive() {
         let rows = vec![row("ndp", 4, "radix", "RND")];
         let findings = evaluate(&rows, &[], 1.0).unwrap();
         let dev = max_rel_deviation(&findings);
         assert!(dev > 0.0 && dev.is_finite());
-        let json = bench_json_fields(&findings, 1.5);
-        assert!(json.contains("\"cal_targets\": 9"), "{json}");
-        assert!(json.contains("\"cal_wall_s\": 1.50"), "{json}");
     }
 
     #[test]

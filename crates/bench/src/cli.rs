@@ -164,6 +164,34 @@ impl Args {
         value_flags: &[&str],
         bool_flags: &[&str],
     ) -> Result<(), CliError> {
+        self.check_tokens(value_flags, bool_flags, None)
+    }
+
+    /// [`Self::reject_unknown`] for a command that takes no positional
+    /// arguments: a bare word that is not a flag's value (a mistyped or
+    /// retired subcommand) is rejected too, naming `subcommands`, instead
+    /// of silently running the default configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::usage`] naming the unknown flag or stray word.
+    pub fn reject_unknown_and_words(
+        &self,
+        value_flags: &[&str],
+        bool_flags: &[&str],
+        subcommands: &[&str],
+    ) -> Result<(), CliError> {
+        self.check_tokens(value_flags, bool_flags, Some(subcommands))
+    }
+
+    /// Walks the tokens in order and reports the first unknown flag, or
+    /// (with `subcommands`) the first stray bare word.
+    fn check_tokens(
+        &self,
+        value_flags: &[&str],
+        bool_flags: &[&str],
+        subcommands: Option<&[&str]>,
+    ) -> Result<(), CliError> {
         let mut i = 0;
         while i < self.raw.len() {
             let a = self.raw[i].as_str();
@@ -178,6 +206,12 @@ impl Args {
                 return Err(CliError::usage(format!(
                     "error: unrecognized flag {a:?}; valid flags: {}",
                     valid.join(", ")
+                )));
+            } else if let Some(subcommands) = subcommands {
+                return Err(CliError::usage(format!(
+                    "error: unexpected argument {a:?}; subcommands: {}; \
+                     everything else is a --flag (see --help)",
+                    subcommands.join(", ")
                 )));
             } else {
                 i += 1;
@@ -338,42 +372,6 @@ pub fn parse_workload_list(
         .collect()
 }
 
-// --- shared flat-JSON field extraction (bench baselines; no serde) ---
-
-/// Extracts `"key": <number>` from a flat JSON object.
-#[must_use]
-pub fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": <integer>` losslessly (digests exceed f64's 53-bit
-/// mantissa, so they must never round-trip through a float).
-#[must_use]
-pub fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<string>"` from a flat JSON object.
-#[must_use]
-pub fn json_str(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,15 +502,5 @@ mod tests {
         assert_eq!(ws.len(), 2);
         let err = parse_workload_list("--workloads", "RND,bogus").unwrap_err();
         assert!(err.message.contains("bogus") && err.message.contains("BFS"));
-    }
-
-    #[test]
-    fn json_field_extraction() {
-        let text =
-            "{\"mode\": \"fast\", \"best_wall_s\": 1.25, \"report_digest\": 14763835927449417281}";
-        assert_eq!(json_str(text, "mode").as_deref(), Some("fast"));
-        assert_eq!(json_f64(text, "best_wall_s"), Some(1.25));
-        assert_eq!(json_u64(text, "report_digest"), Some(14763835927449417281));
-        assert_eq!(json_u64(text, "missing"), None);
     }
 }

@@ -1,16 +1,15 @@
 #![forbid(unsafe_code)]
 //! Benchmark & figure-regeneration harness for the NDPage reproduction.
 //!
-//! Two entry points:
+//! The `figures` binary regenerates **every table and figure** of the
+//! paper's evaluation (`cargo run -p ndp-bench --release --bin figures --
+//! all`), printing the same rows/series the paper reports; `ndpsim` runs
+//! single simulations, spec sweeps and the experiment service, and
+//! `calibrate` checks the model against the paper's Fig 4-7 targets.
+//! The simulator's own performance is measured by the separate
+//! `perfbench` package at the repository root.
 //!
-//! * the `figures` binary regenerates **every table and figure** of the
-//!   paper's evaluation (`cargo run -p ndp-bench --release --bin figures --
-//!   all`), printing the same rows/series the paper reports;
-//! * the Criterion benches under `benches/` measure the library's own
-//!   component performance (page-table ops, TLB/PWC/caches, DRAM,
-//!   trace generation, end-to-end simulation).
-//!
-//! The formatting helpers here are shared by both.
+//! The formatting helpers here are shared by the binaries.
 
 pub mod calibration;
 pub mod cli;

@@ -39,6 +39,28 @@ fn rejects_unknown_system() {
 }
 
 #[test]
+fn rejects_stray_words_naming_subcommands() {
+    // A mistyped or retired subcommand must not silently run the
+    // default BFS/NDPage simulation.
+    for argv in [
+        &["frobnicate"][..],
+        &["bench"],
+        &["bench", "--runs", "1"],
+        &["--workload", "RND", "frobnicate"],
+        &["sweep", "frobnicate", "--dry-run"],
+    ] {
+        let out = ndpsim().args(argv).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("sweep") && stderr.contains("serve"),
+            "names the subcommands: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing simulated for {argv:?}");
+    }
+}
+
+#[test]
 fn rejects_malformed_numeric_flags() {
     for (flag, value) in [("--procs", "two"), ("--quantum", "5k"), ("--cores", "x")] {
         let out = ndpsim()

@@ -8,9 +8,16 @@
 //! fault and across a mid-job server kill+restart — and cancellation
 //! must keep completed rows with the journal recording the terminal
 //! state.
+//!
+//! No test races the wall clock: a test that must catch a job
+//! mid-flight holds one row with `NDP_FAULT=hang@3` (the server's
+//! workers inherit its environment), so the job sits at exactly three of
+//! four rows until the test acts.
 
+use ndp_sim::spec::parse_json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::os::unix::process::CommandExt;
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -37,44 +44,40 @@ const QUAD_SPEC: &str = r#"{
            {"knob": "mechanism", "values": ["radix", "ndpage"]}]
 }"#;
 
-/// The same grid with ~seconds-per-row cost, for tests that must catch
-/// a job mid-flight (cancel, server kill).
-const SLOW_SPEC: &str = r#"{
-  "name": "quad_slow",
-  "base": {"workload": "RND", "warmup_ops": 20000, "measure_ops": 400000,
-           "footprint": 134217728},
-  "axes": [{"knob": "pwc_entries", "values": [16, 64]},
-           {"knob": "mechanism", "values": ["radix", "ndpage"]}]
-}"#;
+/// The fault plan that holds a [`QUAD_SPEC`] job at rows 0..=2: the
+/// worker owning grid index 3 hangs before emitting it.
+const HOLD_LAST_ROW: (&str, &str) = ("NDP_FAULT", "hang@3");
 
-fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    Some(&rest[..rest.find('"')?])
+/// States after which a job never changes again.
+const TERMINAL_STATES: [&str; 4] = ["done", "partial", "failed", "cancelled"];
+
+/// A top-level scalar of a one-line JSON record, as text.
+fn json_field(text: &str, key: &str) -> Option<String> {
+    parse_json(text.trim()).ok()?.get(key)?.scalar()
 }
 
 fn json_num(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    json_field(text, key)?.parse().ok()
 }
 
-/// A running `ndpsim serve` child bound to an ephemeral loopback port.
+/// A running `ndpsim serve` child bound to an ephemeral loopback port,
+/// leading its own process group so that cleanup also reaches its
+/// workers, orphaned or hung ones included.
 struct Server {
     child: Child,
     addr: String,
     state: PathBuf,
+    /// Set by a clean shutdown, after which nothing is left to kill.
+    shut_down: bool,
 }
 
 impl Server {
-    fn start(state: &std::path::Path, envs: &[(&str, String)]) -> Server {
+    fn start(state: &std::path::Path, envs: &[(&str, &str)]) -> Server {
         let mut cmd = ndpsim();
         cmd.args(["serve", "--addr", "127.0.0.1:0"])
             .args(["--state", state.to_str().unwrap()])
             .args(["--workers", "2", "--backoff-ms", "20"])
+            .process_group(0)
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
         for (k, v) in envs {
@@ -86,12 +89,12 @@ impl Server {
             .read_line(&mut line)
             .unwrap();
         let addr = json_field(&line, "addr")
-            .unwrap_or_else(|| panic!("no addr in listening line: {line:?}"))
-            .to_string();
+            .unwrap_or_else(|| panic!("no addr in listening line: {line:?}"));
         Server {
             child,
             addr,
             state: state.to_path_buf(),
+            shut_down: false,
         }
     }
 
@@ -112,12 +115,13 @@ impl Server {
         std::fs::remove_file(&path).ok();
         let stdout = String::from_utf8_lossy(&out.stdout).to_string();
         assert_eq!(out.status.code(), Some(0), "submit failed: {stdout}");
-        json_field(&stdout, "job")
-            .unwrap_or_else(|| panic!("no job id in {stdout:?}"))
-            .to_string()
+        json_field(&stdout, "job").unwrap_or_else(|| panic!("no job id in {stdout:?}"))
     }
 
-    /// Polls `status --job` until `pred(status_line)` holds.
+    /// Polls `status --job` until `pred(status_line)` holds. Fails at
+    /// once if the job reaches a terminal state `pred` rejects: it can
+    /// never change again, so waiting longer would only burn the
+    /// deadline.
     fn wait_status(&self, job: &str, what: &str, pred: impl Fn(&str) -> bool) -> String {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
@@ -126,6 +130,11 @@ impl Server {
             if pred(&line) {
                 return line;
             }
+            let state = json_field(&line, "state").unwrap_or_default();
+            assert!(
+                !TERMINAL_STATES.contains(&state.as_str()),
+                "job reached terminal state {state:?} while waiting for {what}: {line}"
+            );
             assert!(
                 Instant::now() < deadline,
                 "timed out waiting for {what}; last status: {line}"
@@ -139,11 +148,21 @@ impl Server {
         assert_eq!(out.status.code(), Some(0));
         let status = self.child.wait().unwrap();
         assert!(status.success(), "server exit: {status:?}");
+        self.shut_down = true;
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
+        if !self.shut_down {
+            // The group outlives a killed server while any worker of it
+            // lives, so its id cannot have been reused.
+            Command::new("kill")
+                .args(["-KILL", "--", &format!("-{}", self.child.id())])
+                .stderr(Stdio::null())
+                .status()
+                .ok();
+        }
         self.child.kill().ok();
         self.child.wait().ok();
         std::fs::remove_dir_all(&self.state).ok();
@@ -209,13 +228,8 @@ fn watch_streams_while_running_and_fault_recovery_matches_offline_bytes() {
     // through the inherited environment: the first worker owning grid
     // index 2 dies mid-row, the supervisor respawns it, and the stream
     // the watcher sees must be indistinguishable from a clean run.
-    let server = Server::start(
-        &state,
-        &[(
-            "NDP_FAULT",
-            format!("abort@2:once={}", marker.to_str().unwrap()),
-        )],
-    );
+    let plan = format!("abort@2:once={}", marker.to_str().unwrap());
+    let server = Server::start(&state, &[("NDP_FAULT", &plan)]);
 
     let job = server.submit(QUAD_SPEC, "fault");
     // Start watching before the job finishes: rows arrive as they
@@ -230,42 +244,39 @@ fn watch_streams_while_running_and_fault_recovery_matches_offline_bytes() {
 
 #[test]
 fn server_kill_and_restart_resumes_from_journal_with_identical_bytes() {
-    let reference = offline_reference(SLOW_SPEC, "restart");
+    let reference = offline_reference(QUAD_SPEC, "restart");
     let state = tmp("restart_state");
     let job;
     {
-        let mut server = Server::start(&state, &[]);
-        job = server.submit(SLOW_SPEC, "restart");
-        server.wait_status(&job, "job running", |s| s.contains("\"state\":\"running\""));
-        // Hard-kill the server mid-job (workers are orphaned and keep
-        // streaming their shards; the journal's last record is
-        // `running`).
+        let mut server = Server::start(&state, &[HOLD_LAST_ROW]);
+        job = server.submit(QUAD_SPEC, "restart");
+        server.wait_status(&job, "rows 0..=2", |s| json_num(s, "rows_done") == Some(3));
+        // Hard-kill the server mid-job: the shard-1 worker is orphaned,
+        // hung before row 3, and the journal's last record for the job
+        // is `running`.
         server.child.kill().unwrap();
         server.child.wait().unwrap();
-        // Drop must not delete the state dir: forget the fixture after
-        // taking ownership of cleanup.
+        let rows_on_disk: usize =
+            ndp_sim::shard::existing_shard_files(&state.join(&job).join("rows.jsonl"))
+                .iter()
+                .filter_map(|p| std::fs::read_to_string(p).ok())
+                .map(|t| ndp_sim::spec::parse_jsonl(&t).len())
+                .sum();
+        assert_eq!(rows_on_disk, 3, "the kill must land mid-job");
+        let journal = std::fs::read_to_string(state.join("journal.jsonl")).unwrap();
+        assert!(
+            !journal.contains("\"state\":\"done\""),
+            "journal: {journal}"
+        );
+        // Dropping the fixture kills the hung orphan; it must not
+        // delete the state dir.
         server.state = tmp("restart_nonexistent");
     }
 
-    // Wait for the orphaned workers to finish their shards so the
-    // restarted supervisor's workers never race them on the same files.
-    let rows_dir = state.join(&job);
-    let shard_rows = || {
-        ndp_sim::shard::existing_shard_files(&rows_dir.join("rows.jsonl"))
-            .iter()
-            .filter_map(|p| std::fs::read_to_string(p).ok())
-            .map(|t| ndp_sim::spec::parse_jsonl(&t).len())
-            .sum::<usize>()
-    };
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while shard_rows() < 4 {
-        assert!(Instant::now() < deadline, "orphan workers never finished");
-        std::thread::sleep(Duration::from_millis(100));
-    }
-
-    // Restart on the same state dir: the journal re-enqueues the job,
-    // the always-resume supervisor reuses every row on disk, and watch
-    // bytes stay identical to the offline sweep.
+    // Restart on the same state dir without the fault: the journal
+    // re-enqueues the job, the always-resume supervisor reuses rows
+    // 0..=2 and runs only row 3, and watch bytes stay identical to the
+    // offline sweep.
     let server = Server::start(&state, &[]);
     server.wait_status(&job, "resumed job done", |s| {
         s.contains("\"state\":\"done\"")
@@ -279,31 +290,27 @@ fn server_kill_and_restart_resumes_from_journal_with_identical_bytes() {
 #[test]
 fn cancel_kills_workers_keeps_rows_and_journals_terminal_state() {
     let state = tmp("cancel_state");
-    let server = Server::start(&state, &[]);
-    let job = server.submit(SLOW_SPEC, "cancel");
+    let server = Server::start(&state, &[HOLD_LAST_ROW]);
+    let job = server.submit(QUAD_SPEC, "cancel");
 
-    // Let at least one row land, then cancel mid-flight.
-    server.wait_status(&job, "first row", |s| {
-        json_num(s, "rows_done").is_some_and(|n| n >= 1)
-    });
+    // Rows 0..=2 land and row 3 is held, so the cancel below always
+    // arrives mid-flight.
+    server.wait_status(&job, "rows 0..=2", |s| json_num(s, "rows_done") == Some(3));
     let out = server.client(&["cancel", "--job", &job]);
     assert_eq!(out.status.code(), Some(0));
     let cancelled =
         server.wait_status(&job, "cancelled", |s| s.contains("\"state\":\"cancelled\""));
-    let kept = json_num(&cancelled, "rows_done").unwrap();
-    assert!(
-        (1..4).contains(&kept),
-        "cancel mid-flight kept {kept} of 4 rows: {cancelled}"
+    assert_eq!(
+        json_num(&cancelled, "rows_done"),
+        Some(3),
+        "cancel keeps exactly the completed rows: {cancelled}"
     );
 
     // Watch on a cancelled job flushes the completed rows (gaps
     // allowed) instead of hanging.
     let out = server.client(&["watch", "--job", &job]);
     assert_eq!(out.status.code(), Some(0));
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout).lines().count(),
-        kept as usize
-    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 3);
 
     // The journal records the terminal transition.
     let journal = std::fs::read_to_string(state.join("journal.jsonl")).unwrap();
